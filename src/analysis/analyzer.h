@@ -4,9 +4,9 @@
 // The analyzer runs a list of rules over one parsed statement. Each rule
 // receives a LintContext — the statement, its SELECT body, the flattened
 // WHERE conjuncts, every SEQ-family expression, and (when planning
-// succeeded) the physical plan — and appends Diagnostics. Rules are
-// infallible by design: a rule that cannot decide stays silent, so lint
-// never blocks on the analyzer's own limitations.
+// succeeded) the physical plan — and appends Diagnostics. Rules never
+// return an error by design: a rule that cannot decide stays silent, so
+// lint never blocks on the analyzer's own limitations.
 //
 // Built-in rules (registered for every analyzer; see rules.cc):
 //   unbounded-retention   SEQ state with no purge license (§4 modes, §5

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdio>
 
+#include "cep/seq_operator.h"
+
 namespace eslev {
 
 double WindowSeconds(Duration length) {
@@ -82,8 +84,8 @@ StateBound SeqStateBound(const SeqOperatorConfig& config,
       config.window->anchor == n - 1;
   const double window_secs =
       purging_window ? WindowSeconds(config.window->length) : 0;
-  const bool recent_exact = config.mode == PairingMode::kRecent &&
-                            config.pairwise.empty();
+  const bool recent_exact =
+      config.mode == PairingMode::kRecent && RecentPurgeIsExact(config);
 
   std::vector<Term> terms;
   for (size_t i = 0; i < n; ++i) {
@@ -123,9 +125,9 @@ StateBound SeqStateBound(const SeqOperatorConfig& config,
       terms.push_back(WindowTerm(pos.alias, rate, window_secs));
       continue;
     }
-    // UNRESTRICTED / CHRONICLE / RECENT-with-pairwise without a purging
-    // window — and RECENT negation evidence, which PurgeRecent never
-    // drops — retain without bound.
+    // UNRESTRICTED / CHRONICLE / RECENT without the exact-purge license,
+    // when no window purges either, retain without bound; so does
+    // negation evidence, which PurgeRecent never drops.
     terms.push_back(GrowthTerm(
         pos.alias, rate,
         pos.negated ? "negation evidence" : "no purge license"));

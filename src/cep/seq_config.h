@@ -11,6 +11,7 @@
 
 #include "cep/pairing_mode.h"
 #include "expr/bound_expr.h"
+#include "recovery/codec.h"
 #include "sql/ast.h"
 #include "types/schema.h"
 
@@ -99,6 +100,30 @@ struct ExceptionSeqConfig {
   BinaryOp level_op = BinaryOp::kLt;
   int64_t level_rhs = 0;  // set to n for EXCEPTION_SEQ
 };
+
+/// \brief Format tag leading every SEQ / EXCEPTION_SEQ checkpoint blob.
+/// Writers always emit 0, the history matcher's layout. Tag 1 marks state
+/// written by the compiled-automaton backend removed in DESIGN.md §14.
+inline constexpr uint8_t kSeqCheckpointTag = 0;
+inline constexpr uint8_t kRemovedAutomatonCheckpointTag = 1;
+
+/// \brief Reads the tag byte and rejects anything but kSeqCheckpointTag
+/// before the caller decodes the rest, so a foreign layout is refused
+/// instead of misread.
+inline Status ReadSeqCheckpointTag(BinaryDecoder* dec,
+                                   const char* operator_name) {
+  ESLEV_ASSIGN_OR_RETURN(uint8_t tag, dec->GetU8());
+  if (tag == kSeqCheckpointTag) return Status::OK();
+  if (tag == kRemovedAutomatonCheckpointTag) {
+    return Status::IoError(
+        std::string(operator_name) +
+        " checkpoint was written by the removed compiled-automaton SEQ "
+        "backend (tag 1) and cannot be restored");
+  }
+  return Status::IoError(std::string(operator_name) +
+                         " checkpoint: unknown tag " +
+                         std::to_string(static_cast<int>(tag)));
+}
 
 }  // namespace eslev
 

@@ -65,13 +65,31 @@ Result<std::unique_ptr<SeqOperator>> SeqOperator::Make(
   return std::unique_ptr<SeqOperator>(new SeqOperator(std::move(config)));
 }
 
+bool RecentPurgeIsExact(const SeqOperatorConfig& config) {
+  if (!config.pairwise.empty()) return false;
+  for (const SeqPosition& p : config.positions) {
+    if (p.negated) return false;
+  }
+  if (!config.window) return true;
+  const SeqWindow& w = *config.window;
+  if (w.anchor + 1 == config.positions.size()) return true;
+  // A FOLLOWING bound is checked during the search only on the anchor
+  // itself, which a single-tuple entry always passes.
+  return w.direction == WindowDirection::kFollowing &&
+         !config.positions[w.anchor].star;
+}
+
 SeqOperator::SeqOperator(SeqOperatorConfig config)
     : config_(std::move(config)),
       n_(config_.positions.size()),
       last_is_star_(config_.positions.back().star),
-      recent_exact_purge_(config_.pairwise.empty()),
+      recent_exact_purge_(RecentPurgeIsExact(config_)),
       history_(n_),
-      scratch_(n_) {}
+      scratch_(n_) {
+  for (size_t p = 0; p < n_; ++p) {
+    if (!config_.positions[p].negated) matchable_.push_back(p);
+  }
+}
 
 const SeqOperator::Entry* SeqOperator::NextChosen(
     const std::vector<const Entry*>& chosen, size_t pos) const {
@@ -92,9 +110,17 @@ const SeqOperator::Entry* SeqOperator::PrevChosen(
 bool SeqOperator::NegationOk(const std::vector<const Entry*>& chosen) const {
   for (size_t i = 0; i < n_; ++i) {
     if (!config_.positions[i].negated) continue;
-    const Entry* left = PrevChosen(chosen, static_cast<int>(i));
-    const Entry* right = NextChosen(chosen, i);
-    if (left == nullptr || right == nullptr) continue;  // unreachable
+    // The interval runs between the nearest non-negated positions. A
+    // partial binding checks it only once both ends are bound: CHRONICLE
+    // binds left to right, so the nearest *bound* later position may lie
+    // beyond the real right neighbour.
+    size_t l = i;
+    size_t r = i;
+    while (config_.positions[l].negated) --l;
+    while (config_.positions[r].negated) ++r;
+    const Entry* left = chosen[l];
+    const Entry* right = chosen[r];
+    if (left == nullptr || right == nullptr) continue;
     for (const Entry& e : history_[i]) {
       if (Before(left->last_ts(), left->last_seq, e.first_ts(),
                  e.first_seq) &&
@@ -505,6 +531,8 @@ Status SeqOperator::MatchChronicle(const Entry& trigger) {
 
 Status SeqOperator::HandleConsecutive(size_t pos, const Tuple& tuple,
                                       uint64_t seq) {
+  // run_[k] binds position matchable_[k]: negated positions carry no
+  // tuple, so the run skips them and any arrival on them interrupts it.
   auto purge_run = [&]() {
     for (const Entry& e : run_) tuples_purged_ += e.tuples.size();
     run_.clear();
@@ -520,6 +548,13 @@ Status SeqOperator::HandleConsecutive(size_t pos, const Tuple& tuple,
       run_.push_back(std::move(e));
     }
   };
+  auto run_chosen = [&]() {
+    std::vector<const Entry*> chosen(n_, nullptr);
+    for (size_t k = 0; k < run_.size(); ++k) {
+      chosen[matchable_[k]] = &run_[k];
+    }
+    return chosen;
+  };
 
   if (config_.positions[pos].negated) {
     // The forbidden event occurred on the joint history: any active run
@@ -533,21 +568,19 @@ Status SeqOperator::HandleConsecutive(size_t pos, const Tuple& tuple,
     return Status::OK();
   }
 
-  const size_t cur = run_.size() - 1;
+  const size_t cur = matchable_[run_.size() - 1];
   // Same-position arrival on an open star group: try to extend.
-  if (pos == cur && config_.positions[cur].star && run_[cur].open) {
-    ESLEV_ASSIGN_OR_RETURN(
-        bool same_group,
-        PassesStarGate(pos, tuple, run_[cur].tuples.back()));
+  if (pos == cur && config_.positions[cur].star && run_.back().open) {
+    Entry& group = run_.back();
+    ESLEV_ASSIGN_OR_RETURN(bool same_group,
+                           PassesStarGate(pos, tuple, group.tuples.back()));
     if (same_group) {
-      run_[cur].tuples.push_back(tuple);
-      run_[cur].last_seq = seq;
+      group.tuples.push_back(tuple);
+      group.last_seq = seq;
       ++tuples_stored_;
       if (cur == n_ - 1) {
         // Trailing star completes on every arrival.
-        std::vector<const Entry*> chosen(n_);
-        for (size_t i = 0; i < n_; ++i) chosen[i] = &run_[i];
-        ESLEV_RETURN_NOT_OK(EmitMatch(chosen));
+        ESLEV_RETURN_NOT_OK(EmitMatch(run_chosen()));
       }
       return Status::OK();
     }
@@ -556,17 +589,16 @@ Status SeqOperator::HandleConsecutive(size_t pos, const Tuple& tuple,
   }
 
   // Expected next position.
-  if (pos == cur + 1) {
-    const Entry& prev = run_[cur];
+  if (run_.size() < matchable_.size() && pos == matchable_[run_.size()]) {
     Entry cand;
     cand.tuples.push_back(tuple);
     cand.first_seq = cand.last_seq = seq;
     cand.open = config_.positions[pos].star;
+    const Entry& prev = run_.back();
     bool ok = Before(prev.last_ts(), prev.last_seq, cand.first_ts(),
                      cand.first_seq);
     if (ok) {
-      std::vector<const Entry*> chosen(n_, nullptr);
-      for (size_t i = 0; i < run_.size(); ++i) chosen[i] = &run_[i];
+      const std::vector<const Entry*> chosen = run_chosen();
       if (!WindowOk(pos, cand, chosen)) ok = false;
       if (ok) {
         ESLEV_ASSIGN_OR_RETURN(ok, PairwiseOkWithChosen(pos, cand, chosen));
@@ -579,9 +611,7 @@ Status SeqOperator::HandleConsecutive(size_t pos, const Tuple& tuple,
     ++tuples_stored_;
     run_.push_back(std::move(cand));
     if (pos == n_ - 1) {
-      std::vector<const Entry*> chosen(n_);
-      for (size_t i = 0; i < n_; ++i) chosen[i] = &run_[i];
-      ESLEV_RETURN_NOT_OK(EmitMatch(chosen));
+      ESLEV_RETURN_NOT_OK(EmitMatch(run_chosen()));
       if (!config_.positions[pos].star) {
         purge_run();  // completed; trailing star keeps accumulating
       }
@@ -725,7 +755,7 @@ Status SeqOperator::ProcessHeartbeat(Timestamp now) {
 }
 
 Status SeqOperator::SaveState(BinaryEncoder* enc) const {
-  enc->PutU8(static_cast<uint8_t>(SeqBackend::kHistory));
+  enc->PutU8(kSeqCheckpointTag);
   const auto put_entry = [enc](const Entry& e) {
     enc->PutU32(static_cast<uint32_t>(e.tuples.size()));
     for (const Tuple& t : e.tuples) enc->PutTuple(t);
@@ -747,9 +777,13 @@ Status SeqOperator::SaveState(BinaryEncoder* enc) const {
   return Status::OK();
 }
 
+Status SeqOperator::ValidateStateFormat(const std::string& blob) const {
+  BinaryDecoder dec(blob);
+  return ReadSeqCheckpointTag(&dec, "SEQ");
+}
+
 Status SeqOperator::RestoreState(BinaryDecoder* dec) {
-  ESLEV_ASSIGN_OR_RETURN(uint8_t tag, dec->GetU8());
-  ESLEV_RETURN_NOT_OK(CheckSeqCheckpointTag(tag, SeqBackend::kHistory, "SEQ"));
+  ESLEV_RETURN_NOT_OK(ReadSeqCheckpointTag(dec, "SEQ"));
   const auto get_entry = [dec](Entry* e) -> Status {
     ESLEV_ASSIGN_OR_RETURN(uint32_t ntuples, dec->GetU32());
     if (ntuples == 0) {
@@ -786,7 +820,7 @@ Status SeqOperator::RestoreState(BinaryDecoder* dec) {
   }
   run_.clear();
   ESLEV_ASSIGN_OR_RETURN(uint32_t nrun, dec->GetU32());
-  if (nrun > n_) {
+  if (nrun > matchable_.size()) {
     return Status::IoError("SEQ checkpoint: run longer than position count");
   }
   for (uint32_t i = 0; i < nrun; ++i) {

@@ -23,8 +23,9 @@
 //  * History purging: final position never stored; CHRONICLE removes
 //    consumed tuples; CONSECUTIVE keeps only the current partial run;
 //    RECENT prunes entries that can no longer be the most recent
-//    qualifying choice (exact when no pairwise constraints exist);
-//    windowed operators evict expired entries.
+//    qualifying choice (only when that is exact: no pairwise
+//    constraints, no negation, no window bound that can make the search
+//    backtrack); windowed operators evict expired entries.
 
 #ifndef ESLEV_CEP_SEQ_OPERATOR_H_
 #define ESLEV_CEP_SEQ_OPERATOR_H_
@@ -35,18 +36,28 @@
 #include <vector>
 
 #include "cep/seq_config.h"
-#include "cep/seq_operator_base.h"
+#include "stream/operator.h"
 
 namespace eslev {
 
-class SeqOperator : public SeqOperatorBase {
+/// \brief Whether RECENT may purge its history (PurgeRecent) without
+/// changing any emission. The purge keeps per position only what a
+/// most-recent-first search selects when it never backtracks past its
+/// first candidate at a later position. Pairwise constraints, negated
+/// positions, and a window bound checked against an anchor that is not
+/// the trigger can each force such a backtrack, so each turns it off.
+/// The cost model prices RECENT state with the same license (§16).
+bool RecentPurgeIsExact(const SeqOperatorConfig& config);
+
+class SeqOperator : public Operator {
  public:
   /// \brief Validates the configuration (e.g. a usable window anchor,
   /// at most one per-tuple star) and builds the operator.
   static Result<std::unique_ptr<SeqOperator>> Make(SeqOperatorConfig config);
 
-  SeqBackend backend() const override { return SeqBackend::kHistory; }
-  const SeqOperatorConfig& config() const override { return config_; }
+  /// \brief The validated configuration the operator runs — positions,
+  /// pairing mode, window. Read by the cost model (DESIGN.md §16).
+  const SeqOperatorConfig& config() const { return config_; }
 
   /// \brief Port == position index.
   Status ProcessTuple(size_t port, const Tuple& tuple) override;
@@ -59,19 +70,19 @@ class SeqOperator : public SeqOperatorBase {
 
   /// \brief Total tuples retained across all positions — the state-size
   /// metric behind the paper's purging claims (bench E6).
-  size_t history_size() const override;
+  size_t history_size() const;
 
-  uint64_t matches_emitted() const override { return matches_emitted_; }
+  uint64_t matches_emitted() const { return matches_emitted_; }
 
   /// \brief Tuples ever admitted to the joint history (final-position
   /// triggers are never stored and do not count).
-  uint64_t tuples_stored() const override { return tuples_stored_; }
+  uint64_t tuples_stored() const { return tuples_stored_; }
   /// \brief Tuples removed from the history by any purge path: window
   /// eviction, RECENT pruning, CHRONICLE consumption, or CONSECUTIVE run
   /// resets. Invariant: tuples_stored() - tuples_purged() == history_size().
-  uint64_t tuples_purged() const override { return tuples_purged_; }
+  uint64_t tuples_purged() const { return tuples_purged_; }
   /// \brief Tuples in still-open (accumulating) star groups.
-  size_t open_star_length() const override;
+  size_t open_star_length() const;
 
   void AppendStats(OperatorStatList* out) const override;
 
@@ -79,6 +90,8 @@ class SeqOperator : public SeqOperatorBase {
   /// CONSECUTIVE run, and the arrival/match/purge counters.
   Status SaveState(BinaryEncoder* enc) const override;
   Status RestoreState(BinaryDecoder* dec) override;
+  /// \brief Rejects any checkpoint tag but kSeqCheckpointTag.
+  Status ValidateStateFormat(const std::string& blob) const override;
 
  private:
   // A history entry: one tuple for plain positions, a group for stars.
@@ -146,10 +159,11 @@ class SeqOperator : public SeqOperatorBase {
   SeqOperatorConfig config_;
   size_t n_;  // number of positions
   bool last_is_star_;
-  bool recent_exact_purge_;  // purging is exact (no pairwise constraints)
+  bool recent_exact_purge_;  // PurgeRecent drops nothing a search needs
   std::vector<std::deque<Entry>> history_;  // per position
+  std::vector<size_t> matchable_;           // the non-negated positions
   // CONSECUTIVE state: the current partial run, one entry per filled
-  // position (history_ is unused in that mode).
+  // non-negated position (history_ is unused in that mode).
   std::vector<Entry> run_;
   uint64_t arrival_seq_ = 0;
   uint64_t matches_emitted_ = 0;

@@ -29,28 +29,6 @@ Result<std::optional<int64_t>> GetEnvInt64(const char* name, int64_t min_value,
   return std::optional<int64_t>{static_cast<int64_t>(parsed)};
 }
 
-Result<std::optional<size_t>> GetEnvChoice(
-    const char* name, const std::vector<std::string>& allowed) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return std::optional<size_t>{};
-  std::string text(raw);
-  std::string lowered = text;
-  for (char& c : lowered) {
-    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
-  }
-  for (size_t i = 0; i < allowed.size(); ++i) {
-    if (lowered == allowed[i]) return std::optional<size_t>{i};
-  }
-  std::string accepted;
-  for (size_t i = 0; i < allowed.size(); ++i) {
-    if (i > 0) accepted += ", ";
-    accepted += "'" + allowed[i] + "'";
-  }
-  return Status::Invalid(std::string(name) + "='" + text +
-                         "' is not recognized; accepted values are " +
-                         accepted);
-}
-
 Result<size_t> ResolveBatchSize(size_t configured) {
   if (configured < 1 || configured > static_cast<size_t>(kMaxBatchSize)) {
     return Status::Invalid("batch_size=" + std::to_string(configured) +

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "common/result.h"
 
@@ -23,13 +22,6 @@ namespace eslev {
 Result<std::optional<int64_t>> GetEnvInt64(const char* name,
                                            int64_t min_value,
                                            int64_t max_value);
-
-/// \brief Read `name` as one of the `allowed` spellings (matched
-/// case-insensitively) and return its index. Returns nullopt when the
-/// variable is unset or empty; an Invalid status naming the variable,
-/// the offending text, and the accepted spellings otherwise.
-Result<std::optional<size_t>> GetEnvChoice(
-    const char* name, const std::vector<std::string>& allowed);
 
 /// \brief The batch-size knob: ESLEV_BATCH_SIZE overrides `configured`
 /// when set (DESIGN.md §13). Accepts 1..1048576; 0, negatives, and

@@ -31,12 +31,6 @@ Engine::Engine(EngineOptions options) : options_(options) {
     }
     batch_size_ = options_.batch_size;
   }
-  auto backend = ResolveSeqBackend(options_.seq_backend);
-  if (!backend.ok()) {
-    init_error_ = backend.status();
-    return;
-  }
-  seq_backend_ = *backend;
   // Ingest knobs (DESIGN.md §15), validated exactly like the batch knob.
   if (options_.honor_ingest_env) {
     auto ingest = ResolveIngestOptions(options_.ingest);
@@ -167,7 +161,7 @@ Result<QueryInfo> Engine::RegisterParsed(const Statement& stmt) {
   // Topology changes are batch boundaries: a pipeline must never observe
   // tuples pushed before it was registered.
   ESLEV_RETURN_NOT_OK(FlushBatches());
-  Planner planner(this, seq_backend_);
+  Planner planner(this);
   ESLEV_ASSIGN_OR_RETURN(PlannedQuery planned, planner.Plan(stmt));
 
   QueryInfo info;
@@ -364,7 +358,7 @@ Result<std::string> Engine::Explain(const std::string& sql) {
       return DiagnosticsToJson(diags);
     }
     if (explain.mode == ExplainMode::kCost) {
-      CostAnalyzer analyzer(this, seq_backend_);
+      CostAnalyzer analyzer(this);
       ESLEV_ASSIGN_OR_RETURN(QueryCostReport report,
                              analyzer.Analyze(*explain.inner));
       return report.ToJson();
@@ -387,7 +381,7 @@ Result<std::vector<Diagnostic>> Engine::Lint(const std::string& sql) const {
 Result<std::vector<QueryCostReport>> Engine::AnalyzeCost(
     const std::string& sql) const {
   ESLEV_ASSIGN_OR_RETURN(auto statements, ParseScript(sql));
-  CostAnalyzer analyzer(this, seq_backend_);
+  CostAnalyzer analyzer(this);
   std::vector<QueryCostReport> out;
   for (const StatementPtr& stmt : statements) {
     if (stmt->kind != StatementKind::kSelect &&
@@ -440,7 +434,7 @@ std::string OperatorCounters(const Operator& op) {
 
 Result<std::string> Engine::ExplainParsed(const Statement& stmt,
                                           bool analyze) {
-  Planner planner(this, seq_backend_);
+  Planner planner(this);
   ESLEV_ASSIGN_OR_RETURN(PlannedQuery planned, planner.Plan(stmt));
 
   const PlannedQuery* live = nullptr;
@@ -513,16 +507,9 @@ MetricsSnapshot Engine::Metrics() const {
       op->AppendStats(&extras);
       for (const auto& [name, value] : extras) {
         snap.gauges[prefix + name] = value;
-        // NFA-backed sequence operators prefix their automaton gauges
-        // with "nfa_"; aggregate them engine-wide as seq.nfa.* so run
-        // growth is observable without enumerating queries (§14).
-        if (name.rfind("nfa_", 0) == 0) {
-          snap.gauges["seq.nfa." + name.substr(4)] += value;
-        }
       }
     }
   }
-  snap.gauges["seq.backend"] = static_cast<int64_t>(seq_backend_);
   // Vectorized execution (DESIGN.md §13).
   snap.gauges["batch.size"] = static_cast<int64_t>(batch_size_);
   snap.gauges["batch.safe"] = batching_safe_ ? 1 : 0;

@@ -31,7 +31,6 @@
 
 #include "analysis/cost_model.h"
 #include "analysis/diagnostic.h"
-#include "cep/seq_backend.h"
 #include "common/metrics.h"
 #include "ingest/ingest_pipeline.h"
 #include "plan/catalog.h"
@@ -41,6 +40,14 @@
 #include "types/tuple_batch.h"
 
 namespace eslev {
+
+/// \brief The SEQ / EXCEPTION_SEQ matcher. It has one value: the history
+/// matcher (DESIGN.md §5) is the only implementation, and the engine
+/// reads nothing from this enum. It still exists because embedding code
+/// written against the former two-backend option assigns
+/// `EngineOptions::seq_backend = SeqBackend::kHistory`, and that keeps
+/// compiling (DESIGN.md §14 records the removed backend).
+enum class SeqBackend : int { kHistory = 0 };
 
 struct EngineOptions {
   /// Retention for ad-hoc snapshot queries over streams; 0 disables.
@@ -60,10 +67,7 @@ struct EngineOptions {
   /// the first API call). Embedded engines — shard workers, standbys —
   /// set this false so the knob applies once at the front end.
   bool honor_batch_env = true;
-  /// Which matcher executes SEQ / EXCEPTION_SEQ predicates (DESIGN.md
-  /// §14). ESLEV_SEQ_BACKEND in the environment overrides this
-  /// (validated; malformed values surface as an error from the first API
-  /// call). Both backends are byte-identical in output.
+  /// Retained for source compatibility only; see SeqBackend.
   SeqBackend seq_backend = SeqBackend::kHistory;
   /// Ingest subsystem (DESIGN.md §15): bounded reordering and RFID read
   /// cleaning between stream sources and the pipelines. Disabled by
@@ -232,9 +236,6 @@ class Engine : public Catalog {
   /// is configured.
   Status SetIngestLateHandler(
       std::function<Status(const std::string& stream, const Tuple&)> handler);
-  /// \brief The resolved SEQ backend (option + ESLEV_SEQ_BACKEND
-  /// override).
-  SeqBackend seq_backend() const { return seq_backend_; }
   /// \brief False when the registered topology couples pipelines in ways
   /// batching could reorder (table targets, raw+derived joins, multiple
   /// producers into one stream); the engine then runs tuple-at-a-time
@@ -340,7 +341,6 @@ class Engine : public Catalog {
   // Vectorized execution (DESIGN.md §13).
   Status init_error_ = Status::OK();  // invalid knob, surfaced lazily
   size_t batch_size_ = 1;
-  SeqBackend seq_backend_ = SeqBackend::kHistory;
   bool batching_safe_ = true;
   Stream* pending_stream_ = nullptr;
   TupleBatch pending_batch_;

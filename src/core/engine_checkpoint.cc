@@ -15,10 +15,10 @@
 // Restore contract: the caller rebuilds an identical topology (same DDL
 // and RegisterQuery calls, same order) and Restore loads state into it.
 // All structural validation — magic/version, frame CRCs, stream/table
-// names and schemas, query ids, operator counts and labels — happens
-// before any engine state is touched, so the four fault-injection cases
-// (torn frame, bad CRC, missing file, version mismatch) leave the
-// engine unmodified.
+// names and schemas, query ids, operator counts and labels, operator
+// blob format tags — happens before any engine state is touched, so the
+// fault-injection cases (torn frame, bad CRC, missing file, version
+// mismatch, foreign SEQ tag) leave the engine unmodified.
 
 #include <algorithm>
 #include <chrono>
@@ -273,6 +273,7 @@ Status Engine::Restore(const std::string& dir) {
       ESLEV_ASSIGN_OR_RETURN(staged.tuples_out, dec.GetU64());
       ESLEV_ASSIGN_OR_RETURN(staged.heartbeats_in, dec.GetU64());
       ESLEV_ASSIGN_OR_RETURN(staged.blob, dec.GetString());
+      ESLEV_RETURN_NOT_OK(staged.op->ValidateStateFormat(staged.blob));
       staged_ops.push_back(std::move(staged));
     }
     if (!dec.AtEnd()) {

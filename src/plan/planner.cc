@@ -3,8 +3,8 @@
 #include <map>
 #include <unordered_map>
 
-#include "cep/seq_nfa.h"
-#include "cep/seq_operator_base.h"
+#include "cep/exception_seq_operator.h"
+#include "cep/seq_operator.h"
 #include "common/string_util.h"
 #include "exec/aggregate.h"
 #include "exec/basic_ops.h"
@@ -975,22 +975,12 @@ Result<PlannedQuery> Planner::PlanSeqQuery(
   Operator* op_raw = nullptr;
 
   pq.AddNote(std::string("Source: streams of ") + seq->ToString());
-  std::string seq_note =
+  const std::string seq_note =
       std::string(seq->seq_kind == SeqKind::kSeq ? "SeqOperator: "
                                                  : "ExceptionSeqOperator: ") +
       seq->ToString() + ", " + std::to_string(pairwise.size()) +
       " pairwise constraint(s), " + std::to_string(final_checks.size()) +
-      " final check(s), backend=" + SeqBackendToString(seq_backend_);
-  if (seq_backend_ == SeqBackend::kNfa) {
-    // Surface the compiled automaton's shape in EXPLAIN (the golden
-    // construction tests pin the same counts per corpus query).
-    const PairingMode note_mode =
-        seq->seq_kind == SeqKind::kSeq
-            ? seq->mode
-            : (seq->mode_explicit ? seq->mode : PairingMode::kConsecutive);
-    const SeqNfa nfa = CompileSeqNfa(positions, pairwise, note_mode);
-    seq_note += " (" + nfa.Describe() + ")";
-  }
+      " final check(s)";
   if (seq->seq_kind == SeqKind::kSeq) {
     SeqOperatorConfig config;
     config.positions = std::move(positions);
@@ -1003,8 +993,7 @@ Result<PlannedQuery> Planner::PlanSeqQuery(
     config.projection = std::move(proj.exprs);
     config.out_schema = proj.schema;
     config.per_tuple_star = per_tuple_star;
-    ESLEV_ASSIGN_OR_RETURN(
-        auto op, MakeSeqOperator(std::move(config), seq_backend_));
+    ESLEV_ASSIGN_OR_RETURN(auto op, SeqOperator::Make(std::move(config)));
     op_raw = op.get();
     pq.operators.push_back(std::move(op));
   } else {
@@ -1036,8 +1025,8 @@ Result<PlannedQuery> Planner::PlanSeqQuery(
       config.level_op = level_op;
       config.level_rhs = level_rhs;
     }
-    ESLEV_ASSIGN_OR_RETURN(
-        auto op, MakeExceptionSeqOperator(std::move(config), seq_backend_));
+    ESLEV_ASSIGN_OR_RETURN(auto op,
+                           ExceptionSeqOperator::Make(std::move(config)));
     op_raw = op.get();
     pq.operators.push_back(std::move(op));
   }

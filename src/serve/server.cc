@@ -173,7 +173,7 @@ Result<ServedQueryInfo> QueryServer::Register(const std::string& tenant,
     bounded = entry->state_bounded;
     summary = entry->bound_summary;
   } else {
-    CostAnalyzer analyzer(&shadow_, shadow_.seq_backend());
+    CostAnalyzer analyzer(&shadow_);
     ESLEV_ASSIGN_OR_RETURN(QueryCostReport report,
                            analyzer.Analyze(*canonical.stmt));
     charge = report.total_state_tuples;

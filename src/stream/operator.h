@@ -122,6 +122,14 @@ class Operator {
     return Status::OK();
   }
 
+  /// \brief Checks a state blob's format before the engine applies any
+  /// restored state, so a blob RestoreState would refuse fails the whole
+  /// restore up front (restore is all-or-nothing). Default: any blob.
+  virtual Status ValidateStateFormat(const std::string& blob) const {
+    (void)blob;
+    return Status::OK();
+  }
+
   /// \brief Reload the dispatch-boundary counters captured at checkpoint
   /// time, so post-restore metrics continue instead of restarting at 0.
   void RestoreCounters(uint64_t tuples_in, uint64_t tuples_out,

@@ -87,14 +87,14 @@ TEST_F(ExplainCostSchemaTest, KeyOrderIsLocked) {
       "SECONDS PRECEDING R2] AND R1.tagid = R2.tagid;");
   ASSERT_TRUE(out.ok()) << out.status();
   const std::vector<std::string> expected = {
-      "cost_model_version", "statement",  "backend",
-      "operators",          "op",         "label",
-      "in_rate",            "out_rate",   "cpu_cost",
-      "state",              "bounded",    "tuples",
-      "growth_per_sec",     "formula",    "state_gauges",
-      "totals",             "cpu_cost",   "state_bounded",
-      "state_tuples",       "state_growth_per_sec",
-      "sharding",           "verdict",    "assumed_shards",
+      "cost_model_version", "statement",     "operators",
+      "op",                 "label",         "in_rate",
+      "out_rate",           "cpu_cost",      "state",
+      "bounded",            "tuples",        "growth_per_sec",
+      "formula",            "state_gauges",  "totals",
+      "cpu_cost",           "state_bounded", "state_tuples",
+      "state_growth_per_sec",
+      "sharding",           "verdict",       "assumed_shards",
       "single_shard_cost",  "per_shard_cost",
       "fallback_delta"};
   EXPECT_EQ(JsonKeys(*out), expected) << *out;

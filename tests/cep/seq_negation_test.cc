@@ -17,6 +17,7 @@ class SeqNegationTest : public ::testing::Test {
       CREATE STREAM A(readerid, tagid, tagtime);
       CREATE STREAM B(readerid, tagid, tagtime);
       CREATE STREAM C(readerid, tagid, tagtime);
+      CREATE STREAM D(readerid, tagid, tagtime);
     )sql")
                     .ok());
   }
@@ -128,6 +129,79 @@ TEST_F(SeqNegationTest, ChronicleConsumesOnlyMatchedPositions) {
   // for any later C as well.
   Push("C", "c2", Seconds(5));
   EXPECT_EQ(events.size(), 1u);
+}
+
+// Regression (found by the reference sweep): CHRONICLE binds positions
+// left to right, and the interval of a negated position was checked as
+// soon as its left neighbour bound, against the trigger instead of the
+// still-unbound right neighbour. A B after C then blocked A for good.
+TEST_F(SeqNegationTest, ChronicleChecksNegationOnlyBetweenItsNeighbours) {
+  auto q = engine_.RegisterQuery(R"sql(
+    SELECT A.tagtime, C.tagtime, D.tagtime FROM A, B, C, D
+    WHERE SEQ(A, !B, C, D) MODE CHRONICLE
+  )sql");
+  ASSERT_TRUE(q.ok()) << q.status();
+  std::vector<Tuple> events;
+  ASSERT_TRUE(engine_.Subscribe(q->output_stream, [&](const Tuple& t) {
+                       events.push_back(t);
+                     }).ok());
+  Push("A", "a1", Seconds(1));
+  Push("C", "c1", Seconds(2));
+  Push("B", "b1", Seconds(3));  // after C: outside A..C
+  Push("D", "d1", Seconds(4));
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].value(0).time_value(), Seconds(1));
+  EXPECT_EQ(events[0].value(1).time_value(), Seconds(2));
+}
+
+// Regression (found by the reference sweep): under CONSECUTIVE the run
+// indexed positions directly, so after A it waited for the negated B
+// and SEQ(A, !B, C) never matched. Adjacency on the joint history already
+// excludes a B in between; an adjacent A, C pair must match.
+TEST_F(SeqNegationTest, ConsecutiveRunSkipsNegatedPosition) {
+  auto q = engine_.RegisterQuery(R"sql(
+    SELECT A.tagtime, C.tagtime FROM A, B, C
+    WHERE SEQ(A, !B, C) MODE CONSECUTIVE
+  )sql");
+  ASSERT_TRUE(q.ok()) << q.status();
+  std::vector<Tuple> events;
+  ASSERT_TRUE(engine_.Subscribe(q->output_stream, [&](const Tuple& t) {
+                       events.push_back(t);
+                     }).ok());
+  Push("A", "a1", Seconds(1));
+  Push("C", "c1", Seconds(2));  // adjacent: match
+  ASSERT_EQ(events.size(), 1u);
+  Push("A", "a2", Seconds(3));
+  Push("B", "b1", Seconds(4));  // interrupts the run
+  Push("C", "c2", Seconds(5));
+  EXPECT_EQ(events.size(), 1u);
+  Push("A", "a3", Seconds(6));
+  Push("C", "c3", Seconds(7));
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[1].value(0).time_value(), Seconds(6));
+}
+
+// Regression (found by the reference sweep): RECENT without pairwise
+// constraints purged every C but the latest. When B blocks the latest C,
+// the most recent qualifying combination uses an older C, which the
+// purge had already dropped.
+TEST_F(SeqNegationTest, RecentKeepsCandidatesANegationCanForceBackTo) {
+  auto q = engine_.RegisterQuery(R"sql(
+    SELECT A.tagtime, C.tagtime, D.tagtime FROM A, B, C, D
+    WHERE SEQ(A, !B, C, D) MODE RECENT
+  )sql");
+  ASSERT_TRUE(q.ok()) << q.status();
+  std::vector<Tuple> events;
+  ASSERT_TRUE(engine_.Subscribe(q->output_stream, [&](const Tuple& t) {
+                       events.push_back(t);
+                     }).ok());
+  Push("A", "a1", Seconds(1));
+  Push("C", "c1", Seconds(2));
+  Push("B", "b1", Seconds(3));
+  Push("C", "c2", Seconds(4));  // A..c2 contains b1
+  Push("D", "d1", Seconds(5));
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].value(1).time_value(), Seconds(2));
 }
 
 TEST_F(SeqNegationTest, ValidationErrors) {

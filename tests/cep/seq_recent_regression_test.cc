@@ -44,5 +44,43 @@ TEST(SeqRecentRegressionTest, ChainedJoinConditionsBacktrack) {
   EXPECT_EQ(events, 10u);
 }
 
+// Regression (found by the reference sweep): RECENT without pairwise
+// constraints purged every B but the latest. A window anchored at B
+// bounds A against that B, so when the latest B has no A in range the
+// search falls back to an older B, which the purge had already dropped.
+TEST(SeqRecentRegressionTest, MiddleAnchoredWindowKeepsOlderAnchors) {
+  Engine engine;
+  ASSERT_TRUE(engine.ExecuteScript(R"sql(
+    CREATE STREAM A(readerid, tagid, tagtime);
+    CREATE STREAM B(readerid, tagid, tagtime);
+    CREATE STREAM C(readerid, tagid, tagtime);
+  )sql")
+                  .ok());
+  auto q = engine.RegisterQuery(R"sql(
+    SELECT A.tagtime, B.tagtime, C.tagtime FROM A, B, C
+    WHERE SEQ(A, B, C) OVER [10 SECONDS PRECEDING B] MODE RECENT
+  )sql");
+  ASSERT_TRUE(q.ok()) << q.status();
+  std::vector<Tuple> events;
+  ASSERT_TRUE(engine
+                  .Subscribe(q->output_stream,
+                             [&](const Tuple& t) { events.push_back(t); })
+                  .ok());
+  const auto push = [&](const std::string& stream, Timestamp ts) {
+    ASSERT_TRUE(engine
+                    .Push(stream,
+                          {Value::String("r"), Value::String("x"),
+                           Value::Time(ts)},
+                          ts)
+                    .ok());
+  };
+  push("A", Seconds(1));
+  push("B", Seconds(5));
+  push("B", Seconds(100));  // no A within 10 s before it
+  push("C", Seconds(101));
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].value(1).time_value(), Seconds(5));
+}
+
 }  // namespace
 }  // namespace eslev

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "cep/seq_operator.h"
-#include "cep/seq_operator_base.h"
 #include "exec/basic_ops.h"
 #include "expr/binder.h"
 #include "sql/parser.h"
@@ -112,14 +111,6 @@ class SeqBuilder {
   std::unique_ptr<SeqOperator> Build() {
     FinishConfig();
     auto op = SeqOperator::Make(std::move(config_));
-    EXPECT_TRUE(op.ok()) << op.status();
-    return std::move(op).ValueUnsafe();
-  }
-
-  /// Builds through the backend factory (history or NFA runtime).
-  std::unique_ptr<SeqOperatorBase> BuildWith(SeqBackend backend) {
-    FinishConfig();
-    auto op = MakeSeqOperator(std::move(config_), backend);
     EXPECT_TRUE(op.ok()) << op.status();
     return std::move(op).ValueUnsafe();
   }

@@ -1,7 +1,7 @@
-// GetEnvInt64 / GetEnvChoice / ResolveBatchSize / ResolveSeqBackend:
-// every environment knob goes through one validated parser — 0,
-// negatives, garbage, and out-of-range values must be rejected with an
-// error naming the variable, not silently coerced (DESIGN.md §13, §14).
+// GetEnvInt64 / ResolveBatchSize: every environment knob goes through
+// one validated parser — 0, negatives, garbage, and out-of-range values
+// must be rejected with an error naming the variable, not silently
+// coerced (DESIGN.md §13).
 
 #include "common/env.h"
 
@@ -9,8 +9,6 @@
 
 #include <cstdlib>
 #include <string>
-
-#include "cep/seq_backend.h"
 
 namespace eslev {
 namespace {
@@ -133,76 +131,6 @@ TEST(ResolveBatchSizeTest, AcceptsMaxBatchSize) {
   auto r = ResolveBatchSize(1);
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_EQ(*r, static_cast<size_t>(kMaxBatchSize));
-}
-
-TEST(GetEnvChoiceTest, UnsetAndEmptyReturnNullopt) {
-  for (const char* value : {static_cast<const char*>(nullptr), ""}) {
-    ScopedEnv env(kVar, value);
-    auto r = GetEnvChoice(kVar, {"alpha", "beta"});
-    ASSERT_TRUE(r.ok()) << r.status();
-    EXPECT_FALSE(r->has_value());
-  }
-}
-
-TEST(GetEnvChoiceTest, MatchesCaseInsensitively) {
-  for (const char* value : {"beta", "BETA", "Beta"}) {
-    ScopedEnv env(kVar, value);
-    auto r = GetEnvChoice(kVar, {"alpha", "beta"});
-    ASSERT_TRUE(r.ok()) << r.status();
-    ASSERT_TRUE(r->has_value());
-    EXPECT_EQ(**r, 1u);
-  }
-}
-
-TEST(GetEnvChoiceTest, RejectsUnknownNamingVariableAndChoices) {
-  ScopedEnv env(kVar, "gamma");
-  auto r = GetEnvChoice(kVar, {"alpha", "beta"});
-  ASSERT_FALSE(r.ok());
-  EXPECT_NE(r.status().message().find(kVar), std::string::npos)
-      << r.status();
-  EXPECT_NE(r.status().message().find("'alpha'"), std::string::npos)
-      << r.status();
-  EXPECT_NE(r.status().message().find("'beta'"), std::string::npos)
-      << r.status();
-}
-
-TEST(ResolveSeqBackendTest, ConfiguredValueWithoutOverride) {
-  ScopedEnv env(kSeqBackendEnvVar, nullptr);
-  auto r = ResolveSeqBackend(SeqBackend::kNfa);
-  ASSERT_TRUE(r.ok()) << r.status();
-  EXPECT_EQ(*r, SeqBackend::kNfa);
-}
-
-TEST(ResolveSeqBackendTest, EnvOverridesConfigured) {
-  ScopedEnv env(kSeqBackendEnvVar, "nfa");
-  auto r = ResolveSeqBackend(SeqBackend::kHistory);
-  ASSERT_TRUE(r.ok()) << r.status();
-  EXPECT_EQ(*r, SeqBackend::kNfa);
-
-  ScopedEnv env2(kSeqBackendEnvVar, "HISTORY");
-  r = ResolveSeqBackend(SeqBackend::kNfa);
-  ASSERT_TRUE(r.ok()) << r.status();
-  EXPECT_EQ(*r, SeqBackend::kHistory);
-}
-
-TEST(ResolveSeqBackendTest, RejectsUnknownBackend) {
-  ScopedEnv env(kSeqBackendEnvVar, "dfa");
-  auto r = ResolveSeqBackend(SeqBackend::kHistory);
-  ASSERT_FALSE(r.ok());
-  EXPECT_NE(r.status().message().find(kSeqBackendEnvVar), std::string::npos)
-      << r.status();
-}
-
-TEST(ParseSeqBackendTest, RoundTripsSpellings) {
-  auto h = ParseSeqBackend("history");
-  ASSERT_TRUE(h.ok());
-  EXPECT_EQ(*h, SeqBackend::kHistory);
-  EXPECT_STREQ(SeqBackendToString(*h), "history");
-  auto n = ParseSeqBackend("NFA");
-  ASSERT_TRUE(n.ok());
-  EXPECT_EQ(*n, SeqBackend::kNfa);
-  EXPECT_STREQ(SeqBackendToString(*n), "nfa");
-  EXPECT_FALSE(ParseSeqBackend("regex").ok());
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace eslev {
 namespace {
 
@@ -57,6 +59,14 @@ struct LikeCase {
   const char* pattern;
   bool match;
 };
+
+// Prints the case by value, so the test names ctest derives from the
+// parameter are the same on every build (gtest's default dumps the raw
+// bytes, i.e. the string-literal addresses).
+void PrintTo(const LikeCase& c, std::ostream* os) {
+  *os << "'" << c.text << "' LIKE '" << c.pattern << "' is "
+      << (c.match ? "true" : "false");
+}
 
 class LikeMatchTest : public ::testing::TestWithParam<LikeCase> {};
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace eslev {
 namespace {
 
@@ -19,6 +21,13 @@ struct UnitCase {
   const char* name;
   Duration expected;
 };
+
+// Prints the case by value, so the test names ctest derives from the
+// parameter are the same on every build (gtest's default dumps the raw
+// bytes, i.e. the string-literal address).
+void PrintTo(const UnitCase& c, std::ostream* os) {
+  *os << "'" << c.name << "' is " << c.expected << "us";
+}
 
 class ParseTimeUnitTest : public ::testing::TestWithParam<UnitCase> {};
 

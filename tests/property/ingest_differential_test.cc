@@ -2,9 +2,9 @@
 // is disordered (within the lateness bound), duplicated, and
 // spurious-injected, pushed through an ingest-enabled engine, must
 // produce byte-identical output to the clean, in-order run with ingest
-// disabled — across the four SEQ pairing modes, both SEQ backends,
-// batch sizes {1, 7, 64}, 1/2/4 shards, and a kill/recover mid-stream
-// with the reorder buffer non-empty.
+// disabled — across the four SEQ pairing modes, batch sizes {1, 7, 64},
+// 1/2/4 shards, and a kill/recover mid-stream with the reorder buffer
+// non-empty.
 //
 // Noise construction (rfid::InjectNoise): every clean event gains
 // exactly one identical duplicate copy (duplicate_rate 1.0, one copy),
@@ -90,17 +90,16 @@ Workload MakeNoisy(const Workload& clean, uint32_t seed, NoiseStats* stats) {
   return noisy;
 }
 
-EngineOptions CleanOptions(size_t batch_size, SeqBackend backend) {
+EngineOptions CleanOptions(size_t batch_size) {
   EngineOptions options;
   options.batch_size = batch_size;
   options.honor_batch_env = false;
-  options.seq_backend = backend;
   options.honor_ingest_env = false;  // the sweep matrix is explicit
   return options;
 }
 
-EngineOptions NoisyOptions(size_t batch_size, SeqBackend backend) {
-  EngineOptions options = CleanOptions(batch_size, backend);
+EngineOptions NoisyOptions(size_t batch_size) {
+  EngineOptions options = CleanOptions(batch_size);
   options.ingest.lateness_bound = kMaxShift;
   options.ingest.smoothing_window = kSmoothing;
   options.ingest.min_read_count = 2;
@@ -149,8 +148,8 @@ std::vector<std::string> RunSharded(const Scenario& scenario,
                                     size_t batch_size, bool with_ingest) {
   ShardedEngineOptions options;
   options.num_shards = num_shards;
-  options.engine = with_ingest ? NoisyOptions(batch_size, SeqBackend::kHistory)
-                               : CleanOptions(batch_size, SeqBackend::kHistory);
+  options.engine = with_ingest ? NoisyOptions(batch_size)
+                               : CleanOptions(batch_size);
   ShardedEngine engine(options);
   EXPECT_TRUE(engine.ExecuteScript(scenario.ddl).ok());
   auto q = engine.RegisterQuery(scenario.query);
@@ -183,16 +182,13 @@ void ExpectIngestEquivalence(const Scenario& scenario, uint32_t seed,
   const Workload noisy = MakeNoisy(clean, seed * 2654435761u + 1, &stats);
 
   const auto reference =
-      RunSingle(scenario, clean, CleanOptions(1, SeqBackend::kHistory));
+      RunSingle(scenario, clean, CleanOptions(1));
   for (size_t batch_size : kBatchSizes) {
     EXPECT_EQ(RunSingle(scenario, noisy,
-                        NoisyOptions(batch_size, SeqBackend::kHistory)),
+                        NoisyOptions(batch_size)),
               reference)
-        << "seed " << seed << " batch_size " << batch_size << " history";
+        << "seed " << seed << " batch_size " << batch_size;
   }
-  EXPECT_EQ(RunSingle(scenario, noisy, NoisyOptions(1, SeqBackend::kNfa)),
-            reference)
-      << "seed " << seed << " nfa";
 
   auto sorted_reference = reference;
   std::sort(sorted_reference.begin(), sorted_reference.end());
@@ -308,7 +304,7 @@ std::vector<std::string> RunKilledMidIngest(const Scenario& scenario,
   std::vector<std::string> rows;
   std::string output_stream;
   {
-    Engine a(NoisyOptions(batch_size, SeqBackend::kHistory));
+    Engine a(NoisyOptions(batch_size));
     EXPECT_TRUE(a.ExecuteScript(scenario.ddl).ok());
     auto qa = a.RegisterQuery(scenario.query);
     EXPECT_TRUE(qa.ok()) << qa.status();
@@ -339,7 +335,7 @@ std::vector<std::string> RunKilledMidIngest(const Scenario& scenario,
 
   ReplayOptions replay;
   replay.deliver_after[output_stream] = rows.size();
-  Engine b(NoisyOptions(batch_size, SeqBackend::kHistory));
+  Engine b(NoisyOptions(batch_size));
   EXPECT_TRUE(b.ExecuteScript(scenario.ddl).ok());
   auto qb = b.RegisterQuery(scenario.query);
   EXPECT_TRUE(qb.ok()) << qb.status();
@@ -366,7 +362,7 @@ TEST_P(IngestDifferentialTest, KillRecoverWithBufferedReorder) {
   NoiseStats stats;
   const Workload noisy = MakeNoisy(clean, seed * 40503u + 13, &stats);
   const auto reference =
-      RunSingle(scenario, clean, CleanOptions(1, SeqBackend::kHistory));
+      RunSingle(scenario, clean, CleanOptions(1));
   std::mt19937 rng(seed * 40503u + 11);
   for (int round = 0; round < 3; ++round) {
     const size_t batch_size =
@@ -397,7 +393,7 @@ std::vector<std::string> RunShardedKilledMidIngest(const Scenario& scenario,
                                                    const std::string& dir) {
   ShardedEngineOptions options;
   options.num_shards = num_shards;
-  options.engine = NoisyOptions(1, SeqBackend::kHistory);
+  options.engine = NoisyOptions(1);
   WalOptions wal_options;
   wal_options.group_commit_bytes = 0;
   std::vector<std::string> rows;
@@ -453,7 +449,7 @@ TEST_P(IngestDifferentialTest, ShardedKillRecoverWithIngest) {
   NoiseStats stats;
   const Workload noisy = MakeNoisy(clean, seed * 69621u + 29, &stats);
   auto reference =
-      RunSingle(scenario, clean, CleanOptions(1, SeqBackend::kHistory));
+      RunSingle(scenario, clean, CleanOptions(1));
   std::sort(reference.begin(), reference.end());
   std::mt19937 rng(seed * 69621u + 31);
   for (size_t shards : {2u, 4u}) {

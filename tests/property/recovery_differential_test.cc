@@ -10,13 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <filesystem>
 #include <random>
 #include <string>
 #include <vector>
 
-#include "cep/seq_backend.h"
 #include "core/engine.h"
 #include "core/sharded_engine.h"
 #include "recovery/checkpoint.h"
@@ -483,115 +481,6 @@ TEST_P(RecoveryDifferentialTest, PromoteExceptionSeqDeadlines) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RecoveryDifferentialTest,
                          ::testing::Values(1u, 2u, 3u));
-
-// ---- NFA backend: same sweeps, matcher state in the run tree ------------
-
-// Forces ESLEV_SEQ_BACKEND for a scope, restoring whatever was exported
-// before (the CI property legs pin the variable binary-wide; plain
-// unsetenv would strip the override from every later test).
-class ScopedBackendOverride {
- public:
-  explicit ScopedBackendOverride(SeqBackend backend) {
-    const char* prev = std::getenv(kSeqBackendEnvVar);
-    had_prev_ = prev != nullptr;
-    if (had_prev_) prev_ = prev;
-    ::setenv(kSeqBackendEnvVar, SeqBackendToString(backend), /*overwrite=*/1);
-  }
-  ~ScopedBackendOverride() {
-    if (had_prev_) {
-      ::setenv(kSeqBackendEnvVar, prev_.c_str(), /*overwrite=*/1);
-    } else {
-      ::unsetenv(kSeqBackendEnvVar);
-    }
-  }
-
- private:
-  bool had_prev_ = false;
-  std::string prev_;
-};
-
-TEST_P(RecoveryDifferentialTest, NfaBackendKillReplay) {
-  // Checkpoints on the NFA backend serialize the shared-prefix run tree
-  // (DESIGN.md §14); recovery must rebuild it so the tail of the trace
-  // completes exactly the matches the uninterrupted run produces.
-  ScopedBackendOverride backend(SeqBackend::kNfa);
-  ExpectKillReplayEquivalence(SeqScenario(" MODE CHRONICLE", ""),
-                              GetParam() + 601, 160, 4, "nfa_chronicle");
-  ExpectKillReplayEquivalence(SeqScenario(" MODE RECENT", ""),
-                              GetParam() + 607, 160, 4, "nfa_recent");
-  ExpectKillReplayEquivalence(StarScenario(), GetParam() + 613, 140, 3,
-                              "nfa_star");
-  ExpectKillReplayEquivalence(ExceptionScenario(), GetParam() + 619, 140, 4,
-                              "nfa_exception");
-}
-
-TEST_P(RecoveryDifferentialTest, NfaBackendPromote) {
-  // Kill a primary shard and promote its standby with the NFA backend on
-  // both sides of the failover.
-  ScopedBackendOverride backend(SeqBackend::kNfa);
-  ExpectKillPromoteEquivalence(SeqScenario(" MODE CHRONICLE", ""),
-                               GetParam() + 701, 120, 4, "nfa_pchronicle");
-  ExpectKillPromoteEquivalence(StarScenario(), GetParam() + 707, 120, 3,
-                               "nfa_pstar");
-}
-
-// ---- cross-backend checkpoints are rejected, never misread --------------
-
-// The two matchers serialize different state shapes under the same
-// operator ids. A checkpoint taken under one backend must be refused by
-// the other with an actionable error — silently decoding it as the
-// wrong shape would corrupt matcher state.
-class SeqCheckpointCompatibilityTest
-    : public ::testing::TestWithParam<std::tuple<SeqBackend, SeqBackend>> {};
-
-TEST_P(SeqCheckpointCompatibilityTest, CrossBackendRestoreRejected) {
-  const SeqBackend from = std::get<0>(GetParam());
-  const SeqBackend to = std::get<1>(GetParam());
-  const Scenario scenario = SeqScenario(" MODE CHRONICLE", "");
-  const auto events = MakeTrace(11, 60, scenario.streams, 3);
-  const std::string dir =
-      FreshDir(std::string("xbackend_") + SeqBackendToString(from) + "_" +
-               SeqBackendToString(to));
-  WalOptions wal_options;
-  wal_options.group_commit_bytes = 0;
-  {
-    ScopedBackendOverride backend(from);
-    Engine a;
-    ASSERT_TRUE(a.ExecuteScript(scenario.ddl).ok());
-    ASSERT_TRUE(a.RegisterQuery(scenario.query).ok());
-    ASSERT_TRUE(a.EnableWal(dir + "/" + kWalFileName, wal_options).ok());
-    for (const Event& e : events) PushEvent(a, e);
-    ASSERT_TRUE(a.Checkpoint(dir).ok());
-  }
-  ScopedBackendOverride backend(to);
-  Engine b;
-  ASSERT_TRUE(b.ExecuteScript(scenario.ddl).ok());
-  ASSERT_TRUE(b.RegisterQuery(scenario.query).ok());
-  const Status restored = b.RecoverFrom(dir);
-  if (from == to) {
-    EXPECT_TRUE(restored.ok()) << restored;
-  } else {
-    ASSERT_FALSE(restored.ok())
-        << "a " << SeqBackendToString(from)
-        << " checkpoint must not restore under "
-        << SeqBackendToString(to);
-    // The error tells the operator how to get the state back.
-    EXPECT_NE(restored.message().find(kSeqBackendEnvVar), std::string::npos)
-        << restored;
-    EXPECT_NE(restored.message().find(SeqBackendToString(from)),
-              std::string::npos)
-        << restored;
-  }
-  std::filesystem::remove_all(dir);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Directions, SeqCheckpointCompatibilityTest,
-    ::testing::Values(
-        std::make_tuple(SeqBackend::kHistory, SeqBackend::kNfa),
-        std::make_tuple(SeqBackend::kNfa, SeqBackend::kHistory),
-        std::make_tuple(SeqBackend::kHistory, SeqBackend::kHistory),
-        std::make_tuple(SeqBackend::kNfa, SeqBackend::kNfa)));
 
 }  // namespace
 }  // namespace eslev

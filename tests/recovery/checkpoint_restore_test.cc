@@ -2,8 +2,9 @@
 // state round-trips for the dedup pipeline, SEQ pairing modes, table
 // targets, and anchored EXCEPTION_SEQ deadlines; the fault-injection
 // matrix (missing file, version mismatch, truncated file, mid-file
-// corruption, topology mismatch) must fail with a clean Status and no
-// partial restore; WAL replay must suppress already-delivered emissions.
+// corruption, topology mismatch, foreign SEQ format tag) must fail with
+// a clean Status and no partial restore; WAL replay must suppress
+// already-delivered emissions.
 
 #include <gtest/gtest.h>
 
@@ -350,6 +351,137 @@ TEST(CheckpointFaultTest, TopologyMismatchFails) {
   Status st = b.Restore(dir);
   EXPECT_TRUE(st.IsIoError()) << st;
   std::filesystem::remove_all(dir);
+}
+
+// ---- SEQ checkpoint format tag ----------------------------------------------
+
+// Every SEQ / EXCEPTION_SEQ state blob leads with a format tag byte.
+// Writers emit 0; tag 1 was written by the removed compiled-automaton
+// backend; anything else is unknown. A foreign tag must fail the restore
+// before any state is applied.
+
+const char* const kTagQueries[] = {
+    "SELECT C3.tagid, C1.tagtime, C3.tagtime FROM C1, C2, C3 "
+    "WHERE SEQ(C1, C2, C3) MODE CHRONICLE "
+    "AND C1.tagid=C2.tagid AND C1.tagid=C3.tagid",
+    "SELECT C1.tagid, C2.tagid, C3.tagid FROM C1, C2, C3 "
+    "WHERE EXCEPTION_SEQ(C1, C2, C3) OVER [1 HOURS FOLLOWING C1]",
+};
+
+// Rewrites the tag byte of the SEQ-family operator's state blob in the
+// checkpoint under `dir`, re-framing so every CRC stays valid.
+void RewriteSeqCheckpointTag(const std::string& dir, uint8_t tag) {
+  const std::string path = dir + "/" + kCheckpointFileName;
+  auto bytes = ReadFileAll(path);
+  ASSERT_TRUE(bytes.ok());
+  auto frames = ScanFrames(bytes->data(), bytes->size());
+  ASSERT_TRUE(frames.ok());
+  BinaryDecoder header(frames->payloads[0]);
+  (void)*header.GetU32();  // magic
+  (void)*header.GetU32();  // version
+  (void)*header.GetI64();  // clock
+  (void)*header.GetU64();  // covered WAL LSN
+  const uint32_t nstreams = *header.GetU32();
+  const uint32_t ntables = *header.GetU32();
+  const uint32_t nqueries = *header.GetU32();
+  const size_t first_query = 1 + nstreams + ntables;
+  std::string rewritten;
+  size_t patched = 0;
+  for (size_t i = 0; i < frames->payloads.size(); ++i) {
+    std::string payload = frames->payloads[i];
+    if (i >= first_query && i < first_query + nqueries) {
+      BinaryDecoder dec(payload);
+      BinaryEncoder enc;
+      enc.PutU32(*dec.GetU32());  // query id
+      const uint32_t nops = *dec.GetU32();
+      enc.PutU32(nops);
+      for (uint32_t j = 0; j < nops; ++j) {
+        const std::string label = *dec.GetString();
+        enc.PutString(label);
+        for (int k = 0; k < 3; ++k) enc.PutU64(*dec.GetU64());  // counters
+        std::string blob = *dec.GetString();
+        if (label == "SeqOperator" || label == "ExceptionSeqOperator") {
+          ASSERT_EQ(blob[0], 0) << "writers emit tag 0";
+          blob[0] = static_cast<char>(tag);
+          ++patched;
+        }
+        enc.PutString(blob);
+      }
+      payload = enc.buffer();
+    }
+    AppendFrame(payload, &rewritten);
+  }
+  ASSERT_EQ(patched, 1u);
+  ASSERT_TRUE(WriteFileAtomic(path, rewritten).ok());
+}
+
+struct TagRestore {
+  Status status;
+  uint64_t stream_tuples_in = 0;   // C1's restored counter
+  std::vector<std::string> rows;   // emissions after the restore
+};
+
+// Checkpoints a partial C1, C2 sequence, rewrites the tag, restores into
+// a fresh engine and feeds the completing C3.
+TagRestore RestoreWithTag(const char* query, uint8_t tag) {
+  // One directory per tag: ctest runs each test in its own process.
+  const std::string dir = FreshDir("seq_tag_" + std::to_string(tag));
+  TagRestore r;
+  SeqHarness a(query);
+  a.Push("C1", "x", Seconds(1));
+  a.Push("C2", "x", Seconds(2));
+  EXPECT_TRUE(a.engine.Checkpoint(dir).ok());
+  RewriteSeqCheckpointTag(dir, tag);
+  SeqHarness b(query);
+  r.status = b.engine.Restore(dir);
+  r.stream_tuples_in = b.engine.Metrics().counters["stream.c1.tuples_in"];
+  b.Push("C3", "x", Seconds(3));
+  r.rows = b.rows;
+  std::filesystem::remove_all(dir);
+  return r;
+}
+
+// What an engine that never restored emits for the same C3.
+std::vector<std::string> FreshRows(const char* query) {
+  SeqHarness fresh(query);
+  fresh.Push("C3", "x", Seconds(3));
+  return fresh.rows;
+}
+
+TEST(SeqCheckpointTagTest, HistoryTagRestores) {
+  // Control: rewriting the tag to the written value 0 restores, and the
+  // restored engine is distinguishable from a fresh one.
+  for (const char* query : kTagQueries) {
+    const TagRestore r = RestoreWithTag(query, 0);
+    ASSERT_TRUE(r.status.ok()) << r.status << "\n" << query;
+    EXPECT_EQ(r.stream_tuples_in, 1u) << query;
+    EXPECT_NE(r.rows, FreshRows(query)) << query;
+  }
+}
+
+TEST(SeqCheckpointTagTest, RemovedBackendTagIsRejectedWithoutPartialRestore) {
+  for (const char* query : kTagQueries) {
+    const TagRestore r = RestoreWithTag(query, 1);
+    ASSERT_TRUE(r.status.IsIoError()) << r.status << "\n" << query;
+    EXPECT_NE(r.status.message().find("removed"), std::string::npos)
+        << r.status;
+    EXPECT_NE(r.status.message().find("tag 1"), std::string::npos)
+        << r.status;
+    // All-or-nothing: not even the streams were restored.
+    EXPECT_EQ(r.stream_tuples_in, 0u) << query;
+    EXPECT_EQ(r.rows, FreshRows(query)) << query;
+  }
+}
+
+TEST(SeqCheckpointTagTest, UnknownTagIsRejectedWithoutPartialRestore) {
+  for (const char* query : kTagQueries) {
+    const TagRestore r = RestoreWithTag(query, 0xFF);
+    ASSERT_TRUE(r.status.IsIoError()) << r.status << "\n" << query;
+    EXPECT_NE(r.status.message().find("unknown tag 255"), std::string::npos)
+        << r.status;
+    EXPECT_EQ(r.stream_tuples_in, 0u) << query;
+    EXPECT_EQ(r.rows, FreshRows(query)) << query;
+  }
 }
 
 // ---- WAL + crash recovery -------------------------------------------------

@@ -8,9 +8,10 @@ Modes:
            i.e. -15%) below the baseline. Prints a per-bench delta
            table (markdown, suitable for $GITHUB_STEP_SUMMARY) and
            exits 1 on any regression.
-  refresh  Rewrite the baseline from a fresh bench run. Run this on the
-           CI runner class the gate executes on (laptop numbers are not
-           comparable) and commit the result:
+  refresh  Rewrite the baseline from a fresh bench run: the throughput
+           entries and the retained-state peaks (see below). Run this on
+           the CI runner class the gate executes on (laptop numbers are
+           not comparable) and commit the result:
 
              cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
              cmake --build build-release -j --target bench_e11_end_to_end \
@@ -19,7 +20,7 @@ Modes:
              mkdir -p /tmp/bench-json
              ESLEV_BENCH_JSON_DIR=/tmp/bench-json ./build-release/bench/bench_e11_end_to_end --benchmark_min_time=0.2s
              ESLEV_BENCH_JSON_DIR=/tmp/bench-json ./build-release/bench/bench_e16_batching --benchmark_min_time=0.2s
-             ESLEV_BENCH_JSON_DIR=/tmp/bench-json ./build-release/bench/bench_e6_pairing_modes --benchmark_filter='BM_(Nfa)?Mode' --benchmark_min_time=0.2s
+             ESLEV_BENCH_JSON_DIR=/tmp/bench-json ./build-release/bench/bench_e6_pairing_modes --benchmark_filter='BM_Mode' --benchmark_min_time=0.2s
              ESLEV_BENCH_JSON_DIR=/tmp/bench-json ./build-release/bench/bench_e9_seq_vs_join --benchmark_filter='BM_Seq(Star|Chronicle)' --benchmark_min_time=0.2s
              ESLEV_BENCH_JSON_DIR=/tmp/bench-json ./build-release/bench/bench_e17_ingest --benchmark_min_time=0.2s
              ESLEV_BENCH_JSON_DIR=/tmp/bench-json ./build-release/bench/bench_e18_serving --benchmark_min_time=0.2s
@@ -32,18 +33,19 @@ vanished from the run fails the gate (a silently deleted bench is a
 silently dropped guarantee). Tolerance can also be set with the
 ESLEV_BENCH_GATE_TOLERANCE environment variable (the flag wins).
 
-Retained-state gate: benches publish peak tuple-state gauges into their
-BENCH_*_metrics.json blob under the convention
+Retained-state gate: benches publish the SEQ matcher's peak retained
+tuple state into their BENCH_*_metrics.json blob as
 
-    stategate.<workload>.history   and   stategate.<workload>.nfa
+    stategate.<workload>
 
-(bench_e6 per pairing mode, bench_e9 on the star/packing workload).
-`check` compares each pair absolutely — no tolerance: the compiled NFA
-backend guarantees it retains exactly the history matcher's tuple set,
-so any run where stategate.*.nfa exceeds stategate.*.history fails the
-gate, as does a workload reporting only one backend (a dropped leg
-would silently drop the guarantee). Workloads with no stategate gauges
-in the run are simply not gated.
+(bench_e6 per pairing mode, bench_e9 on the star/packing workload). The
+workloads are deterministic, so `check` compares each peak absolutely —
+no tolerance — against the peak checked into the baseline's
+"state_peaks" map, which `refresh` writes from the same gauges. A peak
+above its baseline fails the gate (a purge stopped purging), as does a
+baseline workload missing from the run (a silently dropped guarantee).
+Workloads not yet in the baseline are reported as "new". A peak below
+its baseline passes; refresh to tighten it.
 
 Serve-sharing gate: bench_e18_serving publishes gauges under
 
@@ -103,7 +105,7 @@ def load_run(json_dir):
 
 
 def load_state_gauges(json_dir):
-    """Collect {workload: {backend: peak}} from stategate.* gauges in
+    """Collect {workload: peak} from stategate.* gauges in
     BENCH_*_metrics.json blobs."""
     gauges = {}
     for entry in sorted(os.listdir(json_dir)):
@@ -114,37 +116,33 @@ def load_state_gauges(json_dir):
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
         for name, value in doc.get("gauges", {}).items():
-            if not name.startswith("stategate."):
-                continue
             parts = name.split(".")
-            if len(parts) != 3:
-                continue
-            gauges.setdefault(parts[1], {})[parts[2]] = int(value)
+            if len(parts) == 2 and parts[0] == "stategate":
+                gauges[parts[1]] = int(value)
     return gauges
 
 
-def check_state_gauges(gauges):
+def check_state_gauges(gauges, baseline_peaks):
     """Returns (rows, failures) for the retained-state table."""
     rows = []
     failures = []
-    for workload in sorted(gauges):
-        backends = gauges[workload]
-        history = backends.get("history")
-        nfa = backends.get("nfa")
-        if history is None or nfa is None:
-            missing = "history" if history is None else "nfa"
+    for workload in sorted(set(gauges) | set(baseline_peaks)):
+        base = baseline_peaks.get(workload)
+        now = gauges.get(workload)
+        if base is None:
+            status = "new"
+        elif now is None:
             status = "MISSING"
             failures.append(
-                f"stategate.{workload}: no {missing} leg in this run")
-        elif nfa > history:
+                f"stategate.{workload}: present in baseline but not in run")
+        elif now > base:
             status = "REGRESSED"
             failures.append(
-                f"stategate.{workload}: NFA retains {nfa} tuples vs "
-                f"history {history} — the shared-run backend must never "
-                "hold more tuple-state than the history matcher")
+                f"stategate.{workload}: peak retained state {now} tuples "
+                f"exceeds the baseline peak {base}")
         else:
             status = "ok"
-        rows.append((workload, history, nfa, status))
+        rows.append((workload, base, now, status))
     return rows, failures
 
 
@@ -265,17 +263,17 @@ def cmd_check(args):
     print()
 
     state_rows, state_failures = check_state_gauges(
-        load_state_gauges(args.json_dir))
+        load_state_gauges(args.json_dir), baseline.get("state_peaks", {}))
     if state_rows:
         failures.extend(state_failures)
-        print("### Retained-state gate (peak tuples, NFA vs history)\n")
-        print("| workload | history | nfa | status |")
+        print("### Retained-state gate (peak tuples vs baseline)\n")
+        print("| workload | baseline | current | status |")
         print("|---|---:|---:|---|")
-        for workload, history, nfa, status in state_rows:
-            history_s = str(history) if history is not None else "—"
-            nfa_s = str(nfa) if nfa is not None else "—"
-            mark = "❌ " if status != "ok" else ""
-            print(f"| `{workload}` | {history_s} | {nfa_s} | {mark}{status} |")
+        for workload, base, now, status in state_rows:
+            base_s = str(base) if base is not None else "—"
+            now_s = str(now) if now is not None else "—"
+            mark = "❌ " if status in ("REGRESSED", "MISSING") else ""
+            print(f"| `{workload}` | {base_s} | {now_s} | {mark}{status} |")
         print()
 
     serve_rows, serve_failures = check_serve_gauges(
@@ -307,7 +305,7 @@ def cmd_check(args):
         return 1
     print(f"All {sum(1 for r in rows if r[4] == 'ok')} gated benchmarks "
           f"within tolerance; {sum(1 for r in state_rows if r[3] == 'ok')} "
-          "retained-state pairs hold; "
+          "retained-state peaks hold; "
           f"{sum(1 for r in serve_rows if r[2] == 'ok')} serve-sharing "
           "workloads hold.")
     return 0
@@ -315,18 +313,22 @@ def cmd_check(args):
 
 def cmd_refresh(args):
     run = load_run(args.json_dir)
+    peaks = load_state_gauges(args.json_dir)
     doc = {
         "comment": (
-            "Gated throughput baselines (items_per_second). Refresh with "
+            "Gated throughput baselines (items_per_second) and retained-"
+            "state peaks (tuples, no tolerance). Refresh with "
             "tools/bench_gate.py refresh on the CI runner class; see the "
             "module docstring for the exact commands."),
         "tolerance_default": args.tolerance,
         "benchmarks": {name: run[name] for name in sorted(run)},
+        "state_peaks": peaks,
     }
     with open(args.baseline, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
-    print(f"bench_gate: wrote {len(run)} baselines to {args.baseline}")
+    print(f"bench_gate: wrote {len(run)} baselines and {len(peaks)} "
+          f"state peaks to {args.baseline}")
     return 0
 
 
