@@ -4,6 +4,7 @@
 // false *error* on a query the engine runs correctly, so every
 // heuristic finding is a warning and only provable defects are errors.
 
+#include <algorithm>
 #include <initializer_list>
 #include <map>
 #include <vector>
@@ -408,28 +409,29 @@ void ShardFallbackRule(const LintContext& ctx, std::vector<Diagnostic>* out) {
         "or accept single-shard routing"));
   };
 
-  // SEQ queries: every non-negated position must be key-linked.
+  // SEQ queries: the shared classifier decides (it also gates keyed SEQ
+  // history); the message names the first reason that applies.
   if (ctx.seqs.size() == 1 && !ctx.select->from.empty()) {
     const SeqExpr& seq = *ctx.seqs[0];
-    std::vector<const TableRef*> refs;
-    for (const SeqArg& arg : seq.args) {
-      if (arg.negated) continue;  // carries no tuple
-      const TableRef* found = nullptr;
-      for (const TableRef& ref : ctx.select->from) {
-        if (AsciiEqualsIgnoreCase(ref.alias, arg.stream)) {
-          found = &ref;
-          break;
-        }
-      }
-      if (found == nullptr) return;  // unknown alias: planner reports it
-      refs.push_back(found);
+    if (ClassifyPartitioning(*ctx.catalog, *ctx.select, ctx.conjuncts,
+                             ctx.seqs) != PartitionVerdict::kSingleShard) {
+      return;
     }
-    std::vector<PartitionPos> positions;
-    if (!ResolvePartitionPositions(refs, *ctx.catalog, &positions)) return;
-    if (!PartitionKeyLinked(positions, ctx.conjuncts)) {
-      warn("SEQ positions are not pairwise joined on their partition keys",
-           seq.span);
-    }
+    const bool negated =
+        std::any_of(seq.args.begin(), seq.args.end(),
+                    [](const SeqArg& a) { return a.negated; });
+    const bool consecutive =
+        (seq.seq_kind == SeqKind::kSeq || seq.mode_explicit)
+            ? seq.mode == PairingMode::kConsecutive
+            : true;  // EXCEPTION_SEQ defaults to CONSECUTIVE
+    warn(negated ? "a negated SEQ argument carries no partition-key join, "
+                   "and its interval check spans every key"
+         : consecutive
+             ? "CONSECUTIVE pairing is defined on the joint history of "
+               "every key"
+             : "SEQ positions are not pairwise joined on their partition "
+               "keys",
+         seq.span);
     return;
   }
   if (!ctx.seqs.empty()) return;  // multi-SEQ shapes: undecided
@@ -460,20 +462,13 @@ void ShardFallbackRule(const LintContext& ctx, std::vector<Diagnostic>* out) {
     if (e.kind != ExprKind::kExists) return;
     const auto& exists = static_cast<const ExistsExpr&>(e);
     const SelectStmt& sub = *exists.subquery;
-    if (sub.from.size() != 1) return;
-    if (ctx.catalog->FindStream(sub.from[0].name) == nullptr) return;
-    std::vector<PartitionPos> positions;
-    if (!ResolvePartitionPositions({outer_ref, &sub.from[0]}, *ctx.catalog,
-                                   &positions)) {
-      return;
-    }
-    std::vector<const Expr*> sub_conjuncts;
-    FlattenConjuncts(sub.where.get(), &sub_conjuncts);
-    if (!PartitionKeyLinked(positions, sub_conjuncts)) {
-      warn("the EXISTS subquery does not correlate with '" +
-               outer_ref->alias + "' on the partition key",
-           e.span);
-    }
+    if (ExistsPartitionable(*ctx.catalog, *outer_ref, sub)) return;
+    const bool rows = sub.from[0].window && sub.from[0].window->row_based;
+    warn(rows ? "the EXISTS subquery's ROWS window counts tuples of every "
+                "partition key"
+              : "the EXISTS subquery does not correlate with '" +
+                    outer_ref->alias + "' on the partition key",
+         e.span);
   });
 }
 

@@ -1,5 +1,6 @@
 #include "analysis/state_bounds.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -73,7 +74,8 @@ Term GrowthTerm(const std::string& alias, double rate,
 }  // namespace
 
 StateBound SeqStateBound(const SeqOperatorConfig& config,
-                         const std::vector<double>& rates) {
+                         const std::vector<double>& rates,
+                         double distinct_keys) {
   const size_t n = config.positions.size();
   // Window eviction fires only for PRECEDING / PRECEDING AND FOLLOWING
   // windows anchored at the last position (SeqOperator::EvictByWindow).
@@ -109,12 +111,22 @@ StateBound SeqStateBound(const SeqOperatorConfig& config,
     }
     if (recent_exact && !pos.negated) {
       // PurgeRecent keeps, per position i, the most recent entry plus
-      // one entry per retained later-position entry: at most n-1-i.
+      // one entry per retained later-position entry: at most n-1-i —
+      // per key partition when keyed.
       Term t;
       t.value = static_cast<double>(n - 1 - i);
       t.text = FormatCostNumber(t.value) + " [" + pos.alias +
                ": recent purge]";
-      if (purging_window) {
+      if (!config.key.empty()) {
+        // Per key partition. The declared key count is a profile, not a
+        // guarantee, so a purging window's bound wins whenever present.
+        const double keys = std::max(distinct_keys, 1.0);
+        t.text = FormatCostNumber(t.value) + "*K=" +
+                 FormatCostNumber(t.value * keys) + " [" + pos.alias +
+                 ": recent purge per key]";
+        t.value *= keys;
+        if (purging_window) t = WindowTerm(pos.alias, rate, window_secs);
+      } else if (purging_window) {
         const Term w = WindowTerm(pos.alias, rate, window_secs);
         if (w.value < t.value) t = w;
       }

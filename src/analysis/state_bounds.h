@@ -11,6 +11,8 @@
 //                    with no pairwise constraints retains an exact
 //                    triangular entry set (position i keeps at most
 //                    n-1-i entries) but keeps ALL negation evidence;
+//                    keyed RECENT (pairwise constraints all exact key
+//                    equalities) keeps that set per key, K keys;
 //                    star groups stay open while their gate passes and
 //                    open groups are never window-evicted, so a starred
 //                    position is never statically bounded.
@@ -52,9 +54,11 @@ struct StateBound {
 };
 
 /// \brief Bound for a SEQ operator; `rates[i]` is the arrival rate of
-/// position i in tuples/second.
+/// position i in tuples/second, `distinct_keys` the key cardinality a
+/// keyed history partitions on (unused when unkeyed).
 StateBound SeqStateBound(const SeqOperatorConfig& config,
-                         const std::vector<double>& rates);
+                         const std::vector<double>& rates,
+                         double distinct_keys = 1);
 
 /// \brief Bound for an EXCEPTION_SEQ / CLEVEL_SEQ operator.
 StateBound ExceptionSeqStateBound(const ExceptionSeqConfig& config,

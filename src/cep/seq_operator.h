@@ -24,8 +24,13 @@
 //    consumed tuples; CONSECUTIVE keeps only the current partial run;
 //    RECENT prunes entries that can no longer be the most recent
 //    qualifying choice (only when that is exact: no pairwise
-//    constraints, no negation, no window bound that can make the search
-//    backtrack); windowed operators evict expired entries.
+//    constraints beyond the key equalities, no negation, no window bound
+//    that can make the search backtrack); windowed operators evict
+//    expired entries.
+//  * Keyed history (DESIGN.md §18): with SeqOperatorConfig::key set, each
+//    position's history is partitioned on the key and a trigger searches
+//    only its own key's entries — the same search, over the only entries
+//    that can satisfy the key equalities.
 
 #ifndef ESLEV_CEP_SEQ_OPERATOR_H_
 #define ESLEV_CEP_SEQ_OPERATOR_H_
@@ -33,10 +38,12 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "cep/seq_config.h"
 #include "stream/operator.h"
+#include "stream/window_buffer.h"
 
 namespace eslev {
 
@@ -45,7 +52,9 @@ namespace eslev {
 /// most-recent-first search selects when it never backtracks past its
 /// first candidate at a later position. Pairwise constraints, negated
 /// positions, and a window bound checked against an anchor that is not
-/// the trigger can each force such a backtrack, so each turns it off.
+/// the trigger can each force such a backtrack, so each turns it off —
+/// except exact key equalities, which hold throughout the one key
+/// partition a keyed search walks (the purge then runs per partition).
 /// The cost model prices RECENT state with the same license (§16).
 bool RecentPurgeIsExact(const SeqOperatorConfig& config);
 
@@ -84,6 +93,9 @@ class SeqOperator : public Operator {
   /// \brief Tuples in still-open (accumulating) star groups.
   size_t open_star_length() const;
 
+  /// \brief Whether the history is partitioned on an equality key.
+  bool keyed() const { return !config_.key.empty(); }
+
   void AppendStats(OperatorStatList* out) const override;
 
   /// \brief Checkpoint the joint-tuple history (all pairing modes), the
@@ -104,6 +116,11 @@ class SeqOperator : public Operator {
     Timestamp first_ts() const { return tuples.front().ts(); }
     Timestamp last_ts() const { return tuples.back().ts(); }
   };
+  struct EntrySeq {
+    uint64_t operator()(const Entry& e) const { return e.first_seq; }
+  };
+  // One position's history: a deque per key plus the arrival order.
+  using History = KeyedDeque<Entry, EntrySeq>;
 
   explicit SeqOperator(SeqOperatorConfig config);
 
@@ -143,6 +160,16 @@ class SeqOperator : public Operator {
   // the shared tail of the tuple and batch paths.
   Status ProcessArrival(size_t port, const Tuple& tuple, uint64_t seq);
 
+  // Encode `tuple`'s key at `pos` into key_. False (key_ empty) for a
+  // NULL key, which no entry can pair with; unkeyed shapes always get
+  // the one empty key.
+  bool EncodeKey(size_t pos, const Tuple& tuple);
+  // Point parts_ at every position's partition for key_.
+  void BindPartitions();
+  // The bound partition's entries at `pos` (empty if none).
+  const std::deque<Entry>& Candidates(size_t pos) const;
+
+  // Store under key_ (EncodeKey first).
   Status StoreArrival(size_t pos, const Tuple& tuple, uint64_t seq);
   void EvictByWindow(Timestamp now);
   void PurgeRecent();
@@ -160,7 +187,9 @@ class SeqOperator : public Operator {
   size_t n_;  // number of positions
   bool last_is_star_;
   bool recent_exact_purge_;  // PurgeRecent drops nothing a search needs
-  std::vector<std::deque<Entry>> history_;  // per position
+  std::vector<History> history_;            // per position
+  std::string key_;                         // the current arrival's key
+  std::vector<History::Partition*> parts_;  // key_'s partition per position
   std::vector<size_t> matchable_;           // the non-negated positions
   // CONSECUTIVE state: the current partial run, one entry per filled
   // non-negated position (history_ is unused in that mode).

@@ -71,12 +71,14 @@ Status AggregateOperator::RecomputeGroup(const GroupKey& key, Group* group) {
     group->states[i]->Reset();
   }
   if (!buffer_) return Status::OK();
-  for (const Tuple& t : buffer_->tuples()) {
-    ESLEV_ASSIGN_OR_RETURN(GroupKey k, KeyOf(t));
-    if (k != key) continue;
-    ESLEV_RETURN_NOT_OK(AccumulateInto(group, t, +1));
-  }
-  return Status::OK();
+  Status st;
+  buffer_->ForEach([&](const Tuple& t) {
+    Result<GroupKey> k = KeyOf(t);
+    st = k.ok() ? (*k == key ? AccumulateInto(group, t, +1) : Status::OK())
+                : k.status();
+    return st.ok();
+  });
+  return st;
 }
 
 Status AggregateOperator::EvictExpired(Timestamp now) {
@@ -85,18 +87,13 @@ Status AggregateOperator::EvictExpired(Timestamp now) {
   std::vector<Tuple> evicted;
   {
     // WindowBuffer evicts internally; capture what falls out first.
-    const auto& tuples = buffer_->tuples();
-    if (buffer_->row_based()) {
-      // Row windows evict on Add only; nothing to do on pure time advance.
-      (void)tuples;
-    } else {
-      for (const Tuple& t : tuples) {
-        if (t.ts() < now - buffer_->length()) {
-          evicted.push_back(t);
-        } else {
-          break;
-        }
-      }
+    // Row windows evict on Add only; nothing to do on pure time advance.
+    if (!buffer_->row_based()) {
+      buffer_->ForEach([&](const Tuple& t) {
+        if (t.ts() >= now - buffer_->length()) return false;
+        evicted.push_back(t);
+        return true;
+      });
     }
   }
   buffer_->EvictAt(now);
@@ -131,7 +128,7 @@ Status AggregateOperator::ProcessTuple(size_t, const Tuple& tuple) {
       // Row window: evict the overflowing oldest tuple with retraction.
       if (buffer_->size() + 1 > static_cast<size_t>(buffer_->length()) &&
           !buffer_->empty()) {
-        Tuple oldest = buffer_->tuples().front();
+        Tuple oldest = buffer_->front();
         ESLEV_ASSIGN_OR_RETURN(GroupKey key, KeyOf(oldest));
         auto it = groups_.find(key);
         if (it != groups_.end()) {
@@ -199,7 +196,10 @@ Status AggregateOperator::SaveState(BinaryEncoder* enc) const {
   enc->PutBool(buffer_ != nullptr);
   if (buffer_) {
     enc->PutU32(static_cast<uint32_t>(buffer_->size()));
-    for (const Tuple& t : buffer_->tuples()) enc->PutTuple(t);
+    buffer_->ForEach([enc](const Tuple& t) {
+      enc->PutTuple(t);
+      return true;
+    });
   }
   enc->PutU32(static_cast<uint32_t>(groups_.size()));
   for (const auto& [key, group] : groups_) {

@@ -4,7 +4,7 @@ namespace eslev {
 
 WindowedNotExistsOperator::WindowedNotExistsOperator(
     WindowSpec window, BoundExprPtr inner_predicate, bool same_stream,
-    BoundExprPtr outer_predicate)
+    BoundExprPtr outer_predicate, AntiJoinKey key)
     : window_(window),
       inner_predicate_(std::move(inner_predicate)),
       outer_predicate_(std::move(outer_predicate)),
@@ -15,7 +15,8 @@ WindowedNotExistsOperator::WindowedNotExistsOperator(
       has_following_(window.direction == WindowDirection::kFollowing ||
                      window.direction ==
                          WindowDirection::kPrecedingAndFollowing),
-      buffer_(window.row_based, window.length),
+      outer_key_(std::move(key.outer)),
+      buffer_(window.row_based, window.length, std::move(key.inner)),
       scratch_(2) {}
 
 void WindowedNotExistsOperator::AppendStats(OperatorStatList* out) const {
@@ -23,6 +24,10 @@ void WindowedNotExistsOperator::AppendStats(OperatorStatList* out) const {
   out->push_back({"pending", static_cast<int64_t>(pending_.size())});
   out->push_back(
       {"probe_comparisons", static_cast<int64_t>(probe_comparisons_)});
+  if (keyed()) {
+    out->push_back(
+        {"key_partitions", static_cast<int64_t>(buffer_.key_partitions())});
+  }
 }
 
 Result<bool> WindowedNotExistsOperator::Matches(const Tuple& inner,
@@ -83,11 +88,19 @@ Status WindowedNotExistsOperator::ProcessOuter(const Tuple& tuple) {
                            EvalPredicate(*outer_predicate_, scratch_.Row()));
     if (!pass) return Status::OK();
   }
+  // Only inner tuples of the outer tuple's key can satisfy the key
+  // conjuncts; a NULL key satisfies none.
   if (has_preceding_) {
     buffer_.EvictAt(tuple.ts());
-    for (const Tuple& inner : buffer_.tuples()) {
-      ESLEV_ASSIGN_OR_RETURN(bool m, Matches(inner, tuple));
-      if (m) return Status::OK();  // EXISTS -> NOT EXISTS fails
+    const std::deque<Tuple>* candidates =
+        EncodeSqlKey(tuple, outer_key_, &probe_key_)
+            ? buffer_.Partition(probe_key_)
+            : nullptr;
+    if (candidates != nullptr) {
+      for (const Tuple& inner : *candidates) {
+        ESLEV_ASSIGN_OR_RETURN(bool m, Matches(inner, tuple));
+        if (m) return Status::OK();  // EXISTS -> NOT EXISTS fails
+      }
     }
   }
   if (has_following_) {
@@ -135,7 +148,10 @@ Status WindowedNotExistsOperator::ProcessHeartbeat(Timestamp now) {
 Status WindowedNotExistsOperator::SaveState(BinaryEncoder* enc) const {
   enc->PutU64(probe_comparisons_);
   enc->PutU32(static_cast<uint32_t>(buffer_.size()));
-  for (const Tuple& t : buffer_.tuples()) enc->PutTuple(t);
+  buffer_.ForEach([enc](const Tuple& t) {
+    enc->PutTuple(t);
+    return true;
+  });
   enc->PutU32(static_cast<uint32_t>(pending_.size()));
   for (const Pending& p : pending_) {
     enc->PutTuple(p.outer);

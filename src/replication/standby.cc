@@ -9,6 +9,7 @@
 #include "recovery/checkpoint.h"
 #include "recovery/codec.h"
 #include "stream/stream.h"
+#include "types/sql_key.h"
 
 namespace eslev {
 
@@ -129,7 +130,7 @@ Status StandbyShard::ApplyRecord(const WalRecord& record) {
             std::to_string(route.key_index) + " of stream " +
             record.stream));
       }
-      shard = tuple.value(route.key_index).Hash() % options_.num_shards;
+      shard = SqlKeyHash(tuple.value(route.key_index)) % options_.num_shards;
     }
     if (shard == options_.shard_id) {
       // Mirror the worker's clamp-forward rule: WAL order is the shard's

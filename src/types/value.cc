@@ -82,7 +82,14 @@ Result<int64_t> Value::AsInt64() const {
 }
 
 namespace {
-int Spaceship(double a, double b) { return a < b ? -1 : (a > b ? 1 : 0); }
+// NaN equals NaN and sorts above every number, so Compare stays a total
+// order (and SQL-equality keys can hash it, types/sql_key.h).
+int Spaceship(double a, double b) {
+  if (std::isnan(a) || std::isnan(b)) {
+    return std::isnan(a) == std::isnan(b) ? 0 : (std::isnan(a) ? 1 : -1);
+  }
+  return a < b ? -1 : (a > b ? 1 : 0);
+}
 int Spaceship(int64_t a, int64_t b) { return a < b ? -1 : (a > b ? 1 : 0); }
 }  // namespace
 

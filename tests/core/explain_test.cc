@@ -40,7 +40,38 @@ TEST_F(ExplainTest, DedupPipeline) {
   EXPECT_NE(plan.find("Source: stream readings"), std::string::npos);
   EXPECT_NE(plan.find("WindowedNotExists"), std::string::npos);
   EXPECT_NE(plan.find("same stream"), std::string::npos);
+  EXPECT_NE(plan.find("keyed on (reader_id, tag_id)"), std::string::npos)
+      << plan;
   EXPECT_NE(plan.find("-> stream cleaned"), std::string::npos) << plan;
+}
+
+TEST_F(ExplainTest, AntiJoinWithoutTagCorrelationIsUnkeyed) {
+  // Correlated on the reader only: hash sharding would split the
+  // anti-join, so the buffer stays one partition (DESIGN.md §18).
+  std::string plan = Explain(R"sql(
+    SELECT * FROM readings AS r1
+    WHERE NOT EXISTS
+      (SELECT * FROM TABLE( readings OVER
+          (RANGE 1 seconds PRECEDING CURRENT)) AS r2
+       WHERE r2.reader_id = r1.reader_id)
+  )sql");
+  EXPECT_NE(plan.find("WindowedNotExists"), std::string::npos) << plan;
+  EXPECT_EQ(plan.find("keyed on"), std::string::npos) << plan;
+}
+
+TEST_F(ExplainTest, TagJoinedSeqIsKeyedAndStarSeqIsNot) {
+  std::string keyed = Explain(R"sql(
+    SELECT R1.tagid FROM R1, R2
+    WHERE SEQ(R1, R2) MODE RECENT AND R1.tagid = R2.tagid
+  )sql");
+  EXPECT_NE(keyed.find("SeqOperator: SEQ(R1, R2)"), std::string::npos)
+      << keyed;
+  EXPECT_NE(keyed.find("keyed on (tagid)"), std::string::npos) << keyed;
+  std::string consecutive = Explain(R"sql(
+    SELECT R1.tagid FROM R1, R2
+    WHERE SEQ(R1, R2) MODE CONSECUTIVE AND R1.tagid = R2.tagid
+  )sql");
+  EXPECT_EQ(consecutive.find("keyed on"), std::string::npos) << consecutive;
 }
 
 TEST_F(ExplainTest, SeqPipeline) {
@@ -55,6 +86,7 @@ TEST_F(ExplainTest, SeqPipeline) {
       << plan;
   EXPECT_NE(plan.find("MODE CHRONICLE"), std::string::npos);
   EXPECT_NE(plan.find("1 pairwise constraint(s)"), std::string::npos);
+  EXPECT_EQ(plan.find("keyed on"), std::string::npos) << plan;
   EXPECT_NE(plan.find("Output: ("), std::string::npos);
 }
 

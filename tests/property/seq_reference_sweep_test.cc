@@ -357,18 +357,6 @@ std::vector<Row> Drive(EngineT& engine, const Shape& s,
   auto q = engine.RegisterQuery(Query(s));
   EXPECT_TRUE(q.ok()) << q.status() << "\n" << Query(s);
   if (!q.ok()) return {};
-  if constexpr (std::is_same_v<EngineT, ShardedEngine>) {
-    const bool negation = std::find(s.negated.begin(), s.negated.end(),
-                                    true) != s.negated.end();
-    if (s.mode == PairingMode::kConsecutive || negation) {
-      // CONSECUTIVE adjacency and a negated argument (which carries no
-      // tag join) are defined on the joint history of every tag, so these
-      // streams stay together even though the tag join is a routing key.
-      for (size_t p = 0; p < s.npos; ++p) {
-        EXPECT_TRUE(engine.SetSingleShard(StreamName(p)).ok());
-      }
-    }
-  }
   std::vector<Row> rows;
   EXPECT_TRUE(engine
                   .Subscribe(q->output_stream,
@@ -417,12 +405,15 @@ std::vector<Row> RunSharded(const Shape& s, const std::vector<Event>& trace,
 
 // ---- traces and shapes -----------------------------------------------------
 
+// Passed as `num_tags`: every arrival gets its own tag.
+constexpr int kDistinctTags = -1;
+
 // Whole-second steps of 0-2 s (equal timestamps exercise the arrival
 // tie-break and inclusive window edges), with ~8% heartbeats.
 std::vector<Event> MakeTrace(std::mt19937& rng, size_t npos,
                              size_t num_events, int num_tags) {
   std::uniform_int_distribution<int> pick_pos(0, static_cast<int>(npos) - 1);
-  std::uniform_int_distribution<int> pick_tag(0, num_tags - 1);
+  std::uniform_int_distribution<int> pick_tag(0, std::max(num_tags, 1) - 1);
   std::uniform_int_distribution<int> step(0, 2);
   std::uniform_int_distribution<int> pct(0, 99);
   std::vector<Event> trace;
@@ -433,7 +424,10 @@ std::vector<Event> MakeTrace(std::mt19937& rng, size_t npos,
       trace.push_back({-1, 0, now});
       continue;
     }
-    trace.push_back({pick_pos(rng), pick_tag(rng), now});
+    const int pos = pick_pos(rng);
+    const int tag = num_tags == kDistinctTags ? static_cast<int>(i)
+                                              : pick_tag(rng);
+    trace.push_back({pos, tag, now});
     now += Seconds(step(rng));
   }
   return trace;
@@ -563,6 +557,21 @@ TEST_P(SeqReferenceSweepTest, NegatedPositions) {
             Check(s, joined ? 80 : 40, joined ? 3 : 1);
           }
         }
+      }
+    }
+  }
+  EXPECT_GT(emissions_, 0u);
+}
+
+TEST_P(SeqReferenceSweepTest, TagJoinedSingleAndDistinctKeys) {
+  // The keyed history's extremes (DESIGN.md §18): one key holds every
+  // entry in a single partition; all-distinct keys never pair.
+  for (PairingMode mode : {PairingMode::kUnrestricted, PairingMode::kRecent,
+                           PairingMode::kChronicle}) {
+    for (size_t npos = 2; npos <= 4; ++npos) {
+      for (const Shape& s : WithWindows(Base(npos, mode, true), rng_)) {
+        Check(s, 60, 1);
+        Check(s, 60, kDistinctTags);
       }
     }
   }

@@ -38,7 +38,7 @@ COST_TOTALS_KEYS = ["cpu_cost", "state_bounded", "state_tuples",
                     "state_growth_per_sec"]
 COST_SHARDING_KEYS = ["verdict", "assumed_shards", "single_shard_cost",
                       "per_shard_cost", "fallback_delta"]
-COST_MODEL_VERSION = 2
+COST_MODEL_VERSION = 3
 VERDICTS = {"partitionable", "single-shard", "undecided"}
 
 # FormatCostNumber never emits scientific notation, NaN or infinities;
