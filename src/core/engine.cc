@@ -1,5 +1,7 @@
 #include "core/engine.h"
 
+#include <algorithm>
+
 #include "analysis/analyzer.h"
 #include "common/env.h"
 #include "common/string_util.h"
@@ -111,6 +113,30 @@ Table* Engine::FindTable(const std::string& name) const {
   return it == tables_.end() ? nullptr : it->second.get();
 }
 
+namespace {
+
+QueryInfo InfoOf(const PlannedQuery& q) {
+  QueryInfo info;
+  info.id = q.query_id;
+  if (q.target_is_table) {
+    info.output_table = q.target;
+  } else {
+    info.output_stream =
+        q.target.empty() ? "_q" + std::to_string(q.query_id) : q.target;
+  }
+  for (const PlannedQuery::Subscription& sub : q.subscriptions) {
+    const std::string& name = sub.stream->name();
+    if (std::find(info.sources.begin(), info.sources.end(), name) ==
+        info.sources.end()) {
+      info.sources.push_back(name);
+    }
+  }
+  info.single_shard = q.partitioning == PartitionVerdict::kSingleShard;
+  return info;
+}
+
+}  // namespace
+
 Status Engine::ExecuteScript(const std::string& sql) {
   ESLEV_RETURN_NOT_OK(init_error_);
   ESLEV_ASSIGN_OR_RETURN(auto statements, ParseScript(sql));
@@ -164,17 +190,13 @@ Result<QueryInfo> Engine::RegisterParsed(const Statement& stmt) {
   Planner planner(this);
   ESLEV_ASSIGN_OR_RETURN(PlannedQuery planned, planner.Plan(stmt));
 
-  QueryInfo info;
-  info.id = next_query_id_++;
-  planned.query_id = info.id;
+  planned.query_id = next_query_id_++;
 
-  if (planned.target_is_table) {
-    info.output_table = planned.target;
-  } else {
+  if (!planned.target_is_table) {
     std::string out_name = planned.target;
     if (out_name.empty()) {
       // Bare SELECT: materialize the answer as a derived stream.
-      out_name = "_q" + std::to_string(info.id);
+      out_name = "_q" + std::to_string(planned.query_id);
       ESLEV_RETURN_NOT_OK(CreateStream(out_name, planned.output_schema));
       derived_[AsciiToLower(out_name)] = true;
     }
@@ -187,7 +209,6 @@ Result<QueryInfo> Engine::RegisterParsed(const Statement& stmt) {
     planned.tail->AddSink(sink.get(), 0);
     planned.sink = sink.get();
     sinks_.push_back(std::move(sink));
-    info.output_stream = out_name;
   }
 
   // Wire the source subscriptions last, so a partially built pipeline
@@ -197,7 +218,14 @@ Result<QueryInfo> Engine::RegisterParsed(const Statement& stmt) {
   }
   queries_.push_back(std::move(planned));
   RecomputeBatchSafety();
-  return info;
+  return InfoOf(queries_.back());
+}
+
+std::vector<QueryInfo> Engine::Queries() const {
+  std::vector<QueryInfo> out;
+  out.reserve(queries_.size());
+  for (const PlannedQuery& q : queries_) out.push_back(InfoOf(q));
+  return out;
 }
 
 Status Engine::UnregisterQuery(int id) {

@@ -116,6 +116,12 @@ struct QueryInfo {
   std::string output_stream;
   /// Table receiving the output, when the INSERT target is a table.
   std::string output_table;
+  /// Streams the query subscribes to (catalog spelling, each once).
+  std::vector<std::string> sources;
+  /// The sharding classifier found that the query's matches can pair
+  /// tuples of different partition keys (PlannedQuery::partitioning), so
+  /// a sharded host must route its sources to one shard.
+  bool single_shard = false;
 };
 
 class Engine : public Catalog {
@@ -136,6 +142,9 @@ class Engine : public Catalog {
 
   /// \brief Register one continuous query (SELECT or INSERT ... SELECT).
   Result<QueryInfo> RegisterQuery(const std::string& sql);
+
+  /// \brief The registered continuous queries, in registration order.
+  std::vector<QueryInfo> Queries() const;
 
   /// \brief Remove a registered continuous query at runtime (DESIGN.md
   /// §17): detaches its source subscriptions, destroys its operators and

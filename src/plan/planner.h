@@ -24,6 +24,7 @@
 #include "common/result.h"
 #include "expr/binder.h"
 #include "plan/catalog.h"
+#include "plan/partitioning.h"
 #include "sql/ast.h"
 #include "stream/operator.h"
 
@@ -58,6 +59,12 @@ struct PlannedQuery {
 
   /// Assigned by the Engine at registration (0 = not registered).
   int query_id = 0;
+
+  /// The sharding classifier's verdict on the statement, computed once
+  /// at plan time: kSingleShard means matches can pair tuples of
+  /// different partition keys, so a sharded host must route every source
+  /// stream to one shard (DESIGN.md §8).
+  PartitionVerdict partitioning = PartitionVerdict::kUndecided;
 
   /// The engine-owned StreamInsertOperator feeding the output stream
   /// (null for table targets). Recorded at registration so runtime
